@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build test vet fmt lint lint-self lint-fixtures lint-fixtures-verify race bench parbench bench-parallel bench-hotpath bench-compare bench-dse profile trace-fixtures chaos fuzz serve-smoke dist-smoke dse-smoke
+.PHONY: check build test vet fmt lint bench-module lint-self lint-fixtures lint-fixtures-verify race bench parbench bench-parallel bench-hotpath bench-compare bench-dse profile trace-fixtures chaos fuzz serve-smoke dist-smoke dse-smoke
 
 # check is the tier-1 gate: formatting, static analysis (vet and
 # besst-lint, including the analyzer linting itself and its golden
@@ -10,9 +10,10 @@ GO ?= go
 # chaos/crash suite, the simulation-service smoke gate, the
 # distributed-execution smoke gate (real worker processes, one
 # chaos-killed mid-run), the surrogate-search smoke gate (memo-warm
-# re-search must be byte-identical), and the hot-path,
-# parallel-scaling, and search-quality bench-regression gates.
-check: fmt vet lint lint-self lint-fixtures-verify build race trace-fixtures chaos serve-smoke dist-smoke dse-smoke bench-compare bench-parallel bench-dse
+# re-search must be byte-identical), the campaign benchmark module's
+# own vet and tests, and the hot-path, parallel-scaling, and
+# search-quality bench-regression gates.
+check: fmt vet lint lint-self lint-fixtures-verify build race trace-fixtures chaos serve-smoke dist-smoke dse-smoke bench-module bench-compare bench-parallel bench-dse
 
 build:
 	$(GO) build ./...
@@ -28,6 +29,12 @@ fmt:
 	if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
+
+# bench-module vets and tests campaignbench/, a nested module that the
+# root build and test targets skip: an API change in a package it
+# drives fails here rather than in a benchmark run.
+bench-module:
+	cd campaignbench && GOWORK=off $(GO) vet ./... && GOWORK=off $(GO) test ./...
 
 # lint runs besst-lint's determinism and DES invariant checks over the
 # whole module; the committed tree must produce zero findings.

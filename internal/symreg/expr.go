@@ -9,7 +9,6 @@ package symreg
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"besst/internal/stats"
@@ -46,40 +45,6 @@ type Node struct {
 	L, R     *Node // R nil for unary ops
 }
 
-// Eval evaluates the tree on one input vector.
-func (n *Node) Eval(vars []float64) float64 {
-	switch n.Op {
-	case OpConst:
-		return n.Value
-	case OpVar:
-		return vars[n.VarIndex]
-	case OpAdd:
-		return n.L.Eval(vars) + n.R.Eval(vars)
-	case OpSub:
-		return n.L.Eval(vars) - n.R.Eval(vars)
-	case OpMul:
-		return n.L.Eval(vars) * n.R.Eval(vars)
-	case OpDiv:
-		d := n.R.Eval(vars)
-		if math.Abs(d) < 1e-9 {
-			return 1
-		}
-		return n.L.Eval(vars) / d
-	case OpSq:
-		v := n.L.Eval(vars)
-		return v * v
-	case OpCube:
-		v := n.L.Eval(vars)
-		return v * v * v
-	case OpSqrt:
-		return math.Sqrt(math.Abs(n.L.Eval(vars)))
-	case OpLog:
-		return math.Log1p(math.Abs(n.L.Eval(vars)))
-	default:
-		panic(fmt.Sprintf("symreg: unknown op %d", n.Op))
-	}
-}
-
 // Size returns the node count of the tree (parsimony pressure input).
 func (n *Node) Size() int {
 	if n == nil {
@@ -100,15 +65,26 @@ func (n *Node) Depth() int {
 	return 1 + l
 }
 
-// Clone deep-copies the tree.
+// Clone deep-copies the tree into one contiguous allocation.
 func (n *Node) Clone() *Node {
 	if n == nil {
 		return nil
 	}
-	c := *n
-	c.L = n.L.Clone()
-	c.R = n.R.Clone()
-	return &c
+	slab := make([]Node, 0, n.Size())
+	return n.cloneInto(&slab)
+}
+
+// cloneInto appends a copy of the subtree at n to slab, whose capacity
+// must hold it so that no append moves the nodes already placed.
+func (n *Node) cloneInto(slab *[]Node) *Node {
+	if n == nil {
+		return nil
+	}
+	*slab = append(*slab, *n)
+	c := &(*slab)[len(*slab)-1]
+	c.L = n.L.cloneInto(slab)
+	c.R = n.R.cloneInto(slab)
+	return c
 }
 
 // String renders the expression with the given variable names.
@@ -148,18 +124,16 @@ func (n *Node) render(b *strings.Builder, names []string) {
 
 // nodes flattens the tree in preorder for uniform subtree selection.
 func (n *Node) nodes() []*Node {
-	var out []*Node
-	var walk func(*Node)
-	walk = func(m *Node) {
-		if m == nil {
-			return
-		}
-		out = append(out, m)
-		walk(m.L)
-		walk(m.R)
+	return n.appendNodes(make([]*Node, 0, 32))
+}
+
+func (n *Node) appendNodes(out []*Node) []*Node {
+	if n == nil {
+		return out
 	}
-	walk(n)
-	return out
+	out = append(out, n)
+	out = n.L.appendNodes(out)
+	return n.R.appendNodes(out)
 }
 
 // randomTree generates a random tree up to the given depth. full forces

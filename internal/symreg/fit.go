@@ -60,8 +60,8 @@ func (d Dataset) Split(testFrac float64, seed uint64) (train, test Dataset) {
 // Options configures the genetic program.
 type Options struct {
 	PopSize        int     // population size (default 256)
-	Generations    int     // generations per restart (default 80)
-	Restarts       int     // independent runs, best kept (default 3)
+	Generations    int     // generations per restart (default 120)
+	Restarts       int     // independent runs, best kept (default 4)
 	MaxDepth       int     // hard tree-depth limit (default 7)
 	TournamentK    int     // tournament size (default 5)
 	ParsimonyCoeff float64 // fitness penalty per node, in MAPE points (default 0.05)
@@ -101,7 +101,8 @@ func (o Options) withDefaults() Options {
 // perfmodel.Model: Predict evaluates the fitted expression and Sample
 // adds multiplicative log-normal residual noise estimated from the
 // training residuals, so Monte Carlo simulation reproduces the
-// calibration variance.
+// calibration variance. Build one with Fit, Refit or JSON decoding,
+// which compile Expr for evaluation; Expr must not change afterwards.
 type Fitted struct {
 	Label         string
 	Expr          *Node
@@ -116,27 +117,51 @@ type Fitted struct {
 	// nanoseconds or hours. Predict undoes the scaling.
 	XScale []float64
 	YScale float64
+
+	prog program // Expr compiled
 }
 
+// rowBuf sizes the stack buffer Predict and PredictBatch evaluate one
+// row in: the variable vector followed by the program's value stack,
+// whose height is at most the tree depth. Models with more variables
+// or deeper trees than the GP's defaults produce fall back to a heap
+// slice.
+const rowBuf = 16
+
 // Predict implements perfmodel.Model. It is on the Monte Carlo hot path
-// (every Sample starts with a Predict), so the variable vector lives in
-// a stack buffer for the fitted models' typical arity; only expressions
-// over more than eight variables fall back to a heap slice.
+// (every Sample starts with a Predict), so the row is evaluated in a
+// stack buffer.
+//
+//lint:hotpath
 func (f *Fitted) Predict(p perfmodel.Params) float64 {
-	var buf [8]float64
-	var vars []float64
-	if len(f.VarNames) <= len(buf) {
-		vars = buf[:len(f.VarNames)]
-	} else {
-		vars = make([]float64, len(f.VarNames))
-	}
+	var buf [rowBuf]float64
+	row := f.rowScratch(buf[:])
 	for i, n := range f.VarNames {
-		vars[i] = p.Get(n)
-		if f.XScale != nil {
+		row[i] = p.Get(n)
+	}
+	return f.predictRow(row)
+}
+
+// rowScratch returns buf, or a heap slice when buf is too small to
+// hold the variable vector and the value stack.
+func (f *Fitted) rowScratch(buf []float64) []float64 {
+	if need := len(f.VarNames) + f.prog.depth; need > len(buf) {
+		return make([]float64, need)
+	}
+	return buf
+}
+
+// predictRow evaluates the model on the raw variable vector at the
+// front of row, using the rest of row as the value stack.
+func (f *Fitted) predictRow(row []float64) float64 {
+	nv := len(f.VarNames)
+	vars := row[:nv]
+	if f.XScale != nil {
+		for i := range vars {
 			vars[i] /= f.XScale[i]
 		}
 	}
-	v := f.Expr.Eval(vars)
+	v := f.prog.evalRow(vars, row[nv:])
 	//lint:ignore floateq exactly zero YScale marks an unscaled legacy model
 	if f.YScale != 0 {
 		v *= f.YScale
@@ -162,30 +187,6 @@ func (f *Fitted) Name() string { return f.Label }
 // String renders the fitted expression.
 func (f *Fitted) String() string { return f.Expr.String(f.VarNames) }
 
-// mape returns the mean absolute percentage error of expr on ds, or
-// +Inf for invalid predictions. Used as GP fitness (lower is better).
-func mape(expr *Node, ds Dataset) float64 {
-	var sum float64
-	n := 0
-	vars := make([]float64, len(ds.VarNames))
-	for i, row := range ds.X {
-		copy(vars, row)
-		pred := expr.Eval(vars)
-		if math.IsNaN(pred) || math.IsInf(pred, 0) {
-			return math.Inf(1)
-		}
-		if stats.ApproxEqual(ds.Y[i], 0, 0) {
-			continue
-		}
-		sum += math.Abs((pred - ds.Y[i]) / ds.Y[i])
-		n++
-	}
-	if n == 0 {
-		return math.Inf(1)
-	}
-	return 100 * sum / float64(n)
-}
-
 type individual struct {
 	tree    *Node
 	fitness float64 // MAPE + parsimony penalty
@@ -197,21 +198,29 @@ type individual struct {
 // expression across restarts (by raw train MAPE) is returned.
 func Fit(label string, train, test Dataset, opt Options) *Fitted {
 	train.Validate()
-	opt = opt.withDefaults()
-	master := stats.NewRNG(opt.Seed)
-
 	// Normalize the problem so the GP's constant range covers the
 	// search space: divide each input by its mean magnitude and the
 	// target by its mean. MAPE is scale-invariant in y, so reported
 	// errors are unaffected.
 	xScale, yScale := dataScales(train)
-	strain := scaleDataset(train, xScale, yScale)
+	return fitScaled(label, train, test, xScale, yScale, opt, nil)
+}
+
+// fitScaled runs the GP restarts on the problem scaled by xScale and
+// yScale and builds the Fitted. A non-nil warm tree seeds the first
+// restart (see evolve).
+func fitScaled(label string, train, test Dataset, xScale []float64, yScale float64, opt Options, warm *Node) *Fitted {
+	opt = opt.withDefaults()
+	master := stats.NewRNG(opt.Seed)
+	data := columnsOf(train, xScale, yScale)
+	fit := newFitness(data, opt.ParsimonyCoeff)
 
 	var best individual
 	best.fitness = math.Inf(1)
 	best.rawMAPE = math.Inf(1)
 	for r := 0; r < opt.Restarts; r++ {
-		cand := evolve(strain, opt, master.Split(), nil)
+		cand := evolve(fit, len(train.VarNames), opt, master.Split(), warm)
+		warm = nil
 		if cand.rawMAPE < best.rawMAPE {
 			best = cand
 		}
@@ -228,11 +237,13 @@ func Fit(label string, train, test Dataset, opt Options) *Fitted {
 		TestMAPE:  math.NaN(),
 		XScale:    xScale,
 		YScale:    yScale,
+		prog:      compile(best.tree),
 	}
 	if len(test.Y) > 0 {
-		f.TestMAPE = mape(best.tree, scaleDataset(test, xScale, yScale))
+		ts := scorer{data: columnsOf(test, xScale, yScale)}
+		f.TestMAPE = ts.mape(best.tree)
 	}
-	f.ResidualSigma = residualSigma(best.tree, strain)
+	f.ResidualSigma = fit.scorers[0].residualSigma(best.tree)
 	return f
 }
 
@@ -256,76 +267,34 @@ func dataScales(train Dataset) (xScale []float64, yScale float64) {
 	return xScale, defaultIfZero(yScale, 1)
 }
 
-// scaleDataset divides each input column by xScale and every target by
-// yScale — the normalization Fit estimates (dataScales) and Predict
-// undoes.
-func scaleDataset(ds Dataset, xScale []float64, yScale float64) Dataset {
-	out := Dataset{VarNames: ds.VarNames}
-	for i, row := range ds.X {
-		r := make([]float64, len(row))
-		for j := range row {
-			r[j] = row[j] / xScale[j]
-		}
-		out.X = append(out.X, r)
-		out.Y = append(out.Y, ds.Y[i]/yScale)
-	}
-	return out
-}
-
-// residualSigma estimates the log-space standard deviation of
-// measured/predicted ratios on the training set.
-func residualSigma(expr *Node, ds Dataset) float64 {
-	var logs []float64
-	vars := make([]float64, len(ds.VarNames))
-	for i, row := range ds.X {
-		copy(vars, row)
-		pred := expr.Eval(vars)
-		if pred <= 0 || ds.Y[i] <= 0 {
-			continue
-		}
-		logs = append(logs, math.Log(ds.Y[i]/pred))
-	}
-	if len(logs) < 2 {
-		return 0
-	}
-	return stats.Summarize(logs).Std
-}
-
 // evolve runs one GP restart and returns its best individual. A
 // non-nil warm tree (already on the scaled problem) seeds the front of
 // the initial population with itself and a band of its mutants — the
 // incremental-refit path (Refit) warm-starts one restart this way so a
 // grown training set doesn't pay for rediscovering the previous shape.
-func evolve(train Dataset, opt Options, rng *stats.RNG, warm *Node) individual {
-	nvars := len(train.VarNames)
-	evaluate := func(t *Node) individual {
-		raw := mape(t, train)
-		return individual{tree: t, rawMAPE: raw, fitness: raw + opt.ParsimonyCoeff*float64(t.Size())}
-	}
-
+//
+// Each generation is built serially from rng and then scored in
+// parallel; scoring draws no random numbers and the best individual is
+// found by an index-order scan, so the result is independent of the
+// worker count.
+func evolve(fit *fitness, nvars int, opt Options, rng *stats.RNG, warm *Node) individual {
 	// Ramped half-and-half initialization across depths 2..MaxDepth,
 	// with the warm seed (when given) occupying the first quarter.
 	pop := make([]individual, opt.PopSize)
 	for i := range pop {
-		if warm != nil && i == 0 {
-			pop[i] = evaluate(warm.Clone())
-			continue
-		}
-		if warm != nil && i < opt.PopSize/4 {
-			pop[i] = evaluate(mutate(warm, nvars, opt, rng))
-			continue
-		}
-		depth := 2 + i%(opt.MaxDepth-1)
-		full := i%2 == 0
-		pop[i] = evaluate(randomTree(rng, nvars, depth, full, opt.ConstMin, opt.ConstMax))
-	}
-
-	best := pop[0]
-	for _, ind := range pop {
-		if ind.fitness < best.fitness {
-			best = ind
+		switch {
+		case warm != nil && i == 0:
+			pop[i].tree = warm.Clone()
+		case warm != nil && i < opt.PopSize/4:
+			pop[i].tree = mutate(warm, nvars, opt, rng)
+		default:
+			depth := 2 + i%(opt.MaxDepth-1)
+			full := i%2 == 0
+			pop[i].tree = randomTree(rng, nvars, depth, full, opt.ConstMin, opt.ConstMax)
 		}
 	}
+	fit.score(pop)
+	best := bestOf(pop[0], pop)
 
 	tournament := func() individual {
 		w := pop[rng.Intn(len(pop))]
@@ -339,9 +308,9 @@ func evolve(train Dataset, opt Options, rng *stats.RNG, warm *Node) individual {
 	}
 
 	for gen := 0; gen < opt.Generations; gen++ {
-		next := make([]individual, 0, opt.PopSize)
-		next = append(next, best) // elitism
-		for len(next) < opt.PopSize {
+		next := make([]individual, opt.PopSize)
+		next[0] = best // elitism
+		for i := 1; i < len(next); i++ {
 			p1 := tournament()
 			roll := rng.Float64()
 			var child *Node
@@ -356,25 +325,32 @@ func evolve(train Dataset, opt Options, rng *stats.RNG, warm *Node) individual {
 			if child.Depth() > opt.MaxDepth {
 				child = randomTree(rng, nvars, opt.MaxDepth, false, opt.ConstMin, opt.ConstMax)
 			}
-			ind := evaluate(child)
-			if ind.fitness < best.fitness {
-				best = ind
-			}
-			next = append(next, ind)
+			next[i].tree = child
 		}
+		fit.score(next[1:])
+		best = bestOf(best, next[1:])
 		pop = next
 		if best.rawMAPE < opt.TargetMAPE {
 			break
 		}
 	}
 	// Local constant refinement on the winner.
-	best = refineConstants(best, train, opt, rng)
+	return refineConstants(best, fit, rng)
+}
+
+// bestOf returns the fittest of best and pop, scanning in index order
+// so the first of equally fit individuals wins.
+func bestOf(best individual, pop []individual) individual {
+	for _, ind := range pop {
+		if ind.fitness < best.fitness {
+			best = ind
+		}
+	}
 	return best
 }
 
-// crossover swaps a random subtree of a into a clone of... — standard
-// subtree crossover: replace a random node of a copy of a with a clone
-// of a random subtree of b.
+// crossover is standard subtree crossover: it replaces a random node of
+// a copy of a with a clone of a random subtree of b.
 func crossover(a, b *Node, rng *stats.RNG) *Node {
 	child := a.Clone()
 	targets := child.nodes()
@@ -408,7 +384,7 @@ func mutate(t *Node, nvars int, opt Options, rng *stats.RNG) *Node {
 
 // refineConstants hill-climbs the constants of the best tree: each
 // round perturbs one constant multiplicatively and keeps improvements.
-func refineConstants(ind individual, train Dataset, opt Options, rng *stats.RNG) individual {
+func refineConstants(ind individual, fit *fitness, rng *stats.RNG) individual {
 	consts := []*Node{}
 	for _, n := range ind.tree.nodes() {
 		if n.Op == OpConst {
@@ -423,14 +399,13 @@ func refineConstants(ind individual, train Dataset, opt Options, rng *stats.RNG)
 		c := consts[rng.Intn(len(consts))]
 		old := c.Value
 		c.Value *= math.Exp(rng.Normal(0, 0.15))
-		if m := mape(ind.tree, train); m < bestMAPE {
+		if m := fit.scorers[0].mape(ind.tree); m < bestMAPE {
 			bestMAPE = m
 		} else {
 			c.Value = old
 		}
 	}
-	ind.rawMAPE = bestMAPE
-	ind.fitness = bestMAPE + opt.ParsimonyCoeff*float64(ind.tree.Size())
+	fit.set(&ind, bestMAPE, ind.tree.Size())
 	return ind
 }
 

@@ -142,6 +142,7 @@ func (f *Fitted) UnmarshalJSON(data []byte) error {
 		ResidualSigma: j.ResidualSigma,
 		XScale:        j.XScale,
 		YScale:        j.YScale,
+		prog:          compile(expr),
 	}
 	return nil
 }

@@ -31,7 +31,7 @@ func fittedFixture() *Fitted {
 }
 
 func TestFittedJSONRoundTrip(t *testing.T) {
-	f := fittedFixture()
+	f := compiled(fittedFixture())
 	data, err := json.Marshal(f)
 	if err != nil {
 		t.Fatal(err)

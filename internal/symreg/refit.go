@@ -1,11 +1,6 @@
 package symreg
 
-import (
-	"fmt"
-	"math"
-
-	"besst/internal/stats"
-)
+import "fmt"
 
 // Refit evolves an updated model for a grown training set, warm-started
 // from a previously fitted expression. The surrogate-guided DSE search
@@ -29,50 +24,13 @@ func Refit(prev *Fitted, train, test Dataset, opt Options) *Fitted {
 		return Fit(label, train, test, opt)
 	}
 	train.Validate()
-	opt = opt.withDefaults()
-	master := stats.NewRNG(opt.Seed)
-
-	xScale := prev.XScale
-	yScale := defaultIfZero(prev.YScale, 1)
-	strain := scaleDataset(train, xScale, yScale)
-
-	var best individual
-	best.fitness = math.Inf(1)
-	best.rawMAPE = math.Inf(1)
-	for r := 0; r < opt.Restarts; r++ {
-		var warm *Node
-		if r == 0 {
-			warm = prev.Expr
-		}
-		cand := evolve(strain, opt, master.Split(), warm)
-		if cand.rawMAPE < best.rawMAPE {
-			best = cand
-		}
-		if best.rawMAPE < opt.TargetMAPE {
-			break
-		}
-	}
-
-	f := &Fitted{
-		Label:     prev.Label,
-		Expr:      best.tree,
-		VarNames:  train.VarNames,
-		TrainMAPE: best.rawMAPE,
-		TestMAPE:  math.NaN(),
-		XScale:    xScale,
-		YScale:    yScale,
-	}
-	if len(test.Y) > 0 {
-		f.TestMAPE = mape(best.tree, scaleDataset(test, xScale, yScale))
-	}
-	f.ResidualSigma = residualSigma(best.tree, strain)
-	return f
+	return fitScaled(prev.Label, train, test, prev.XScale, defaultIfZero(prev.YScale, 1), opt, prev.Expr)
 }
 
 // PredictBatch evaluates the model at every row of xs — raw (unscaled)
 // values in VarNames order — writing predictions into dst, which is
-// grown only when its capacity falls short. One scratch variable vector
-// is reused across the whole batch, so ranking thousands of candidate
+// grown only when its capacity falls short. One scratch row is reused
+// across the whole batch, so ranking thousands of candidate
 // design points per search round allocates nothing per point (unlike
 // Predict, which needs a perfmodel.Params map per call).
 func (f *Fitted) PredictBatch(xs [][]float64, dst []float64) []float64 {
@@ -80,26 +38,14 @@ func (f *Fitted) PredictBatch(xs [][]float64, dst []float64) []float64 {
 		dst = make([]float64, len(xs))
 	}
 	dst = dst[:len(xs)]
-	vars := make([]float64, len(f.VarNames))
+	var buf [rowBuf]float64
+	scratch := f.rowScratch(buf[:])
 	for i, row := range xs {
 		if len(row) != len(f.VarNames) {
 			panic(fmt.Sprintf("symreg: batch row %d has %d values, want %d", i, len(row), len(f.VarNames)))
 		}
-		for j := range vars {
-			vars[j] = row[j]
-			if f.XScale != nil {
-				vars[j] /= f.XScale[j]
-			}
-		}
-		v := f.Expr.Eval(vars)
-		//lint:ignore floateq exactly zero YScale marks an unscaled legacy model
-		if f.YScale != 0 {
-			v *= f.YScale
-		}
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			v = 0
-		}
-		dst[i] = v
+		copy(scratch, row)
+		dst[i] = f.predictRow(scratch)
 	}
 	return dst
 }

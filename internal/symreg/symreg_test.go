@@ -155,7 +155,8 @@ func TestDatasetValidate(t *testing.T) {
 func TestMAPEHelper(t *testing.T) {
 	expr := &Node{Op: OpVar, VarIndex: 0} // identity
 	ds := Dataset{VarNames: []string{"x"}, X: [][]float64{{10}, {20}}, Y: []float64{10, 20}}
-	if m := mape(expr, ds); m != 0 {
+	s := scorer{data: columnsOf(ds, []float64{1}, 1)}
+	if m := s.mape(expr); m != 0 {
 		t.Fatalf("identity MAPE = %v", m)
 	}
 }
@@ -219,21 +220,21 @@ func TestFitTwoVariables(t *testing.T) {
 }
 
 func TestFittedPredictNeverNegative(t *testing.T) {
-	f := &Fitted{
+	f := compiled(&Fitted{
 		Expr:     &Node{Op: OpSub, L: &Node{Op: OpConst, Value: 1}, R: &Node{Op: OpVar, VarIndex: 0}},
 		VarNames: []string{"x"},
-	}
+	})
 	if got := f.Predict(perfmodel.Params{"x": 100}); got != 0 {
 		t.Fatalf("negative prediction leaked: %v", got)
 	}
 }
 
 func TestFittedSampleVariance(t *testing.T) {
-	f := &Fitted{
+	f := compiled(&Fitted{
 		Expr:          &Node{Op: OpConst, Value: 10},
 		VarNames:      []string{"x"},
 		ResidualSigma: 0.1,
-	}
+	})
 	rng := stats.NewRNG(13)
 	var lo, hi int
 	for i := 0; i < 500; i++ {
