@@ -9,7 +9,10 @@ import (
 	"sort"
 	"testing"
 
+	"besst/internal/beo"
+	"besst/internal/besst"
 	"besst/internal/groundtruth"
+	"besst/internal/lulesh"
 	"besst/internal/symreg"
 )
 
@@ -57,5 +60,58 @@ func TestServeDefaultBundleDigest(t *testing.T) {
 	models, _ := DevelopLuleshQuartz(groundtruth.NewQuartz(), 10, SymbolicRegression, 1)
 	if got := bundleDigest(t, models); got != serveDefaultBundleDigest {
 		t.Fatalf("bundle digest %s, want %s", got, serveDefaultBundleDigest)
+	}
+}
+
+// The campaign digests are SHA-256 sums of Monte Carlo result payloads
+// simulated over the interpolation-table bundle besst-serve develops for
+// method "interp" (Quartz, 10 samples per combination, seed 1): 8
+// trials of 60 timesteps at 8, 64 and 216 ranks under both
+// checkpointing scenarios, plus one off-grid EPR that exercises the
+// tables' interpolated draws. They pin the table sampling path together
+// with the DES event graph and the Direct per-rank straggler draws,
+// byte for byte.
+const (
+	desCampaignDigest    = "1716b869a7a74b223f3df8cb32ee38c764b795b0897ab71e63d85bead5a2aa9d"
+	directCampaignDigest = "ee56980e6d2a2b17b839b74e820229f43dd974fe20c22b1eb38409abe000498d"
+)
+
+func campaignDigest(t *testing.T, opts ...besst.Option) string {
+	t.Helper()
+	em := groundtruth.NewQuartz()
+	models, _ := DevelopLuleshQuartz(em, 10, Interpolation, 1)
+	cfg := em.Cost.Config
+	h := sha256.New()
+	for _, sc := range []lulesh.Scenario{lulesh.ScenarioL1, lulesh.ScenarioL1L2} {
+		for _, epr := range []int{10, 12} {
+			for _, ranks := range []int{8, 64, 216} {
+				app := lulesh.App(epr, ranks, 60, sc, cfg)
+				arch := beo.NewArchBEO(em.M, cfg.NodeSize)
+				BindLulesh(arch, models)
+				seed := besst.WithSeed(uint64(epr*1000 + ranks))
+				rs := besst.Compile(app, arch).Replicate(8, append(opts, seed, besst.WithConcurrency(1))...)
+				for i, r := range rs {
+					data, err := r.Payload()
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(h, "%s|%d|%d|%d|%s\n", sc.Name, epr, ranks, i, data)
+				}
+			}
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+func TestDESCampaignDigest(t *testing.T) {
+	if got := campaignDigest(t, besst.WithMode(besst.DES)); got != desCampaignDigest {
+		t.Fatalf("DES campaign digest %s, want %s", got, desCampaignDigest)
+	}
+}
+
+func TestDirectCampaignDigest(t *testing.T) {
+	got := campaignDigest(t, besst.WithMode(besst.Direct), besst.WithPerRankNoise(true))
+	if got != directCampaignDigest {
+		t.Fatalf("Direct campaign digest %s, want %s", got, directCampaignDigest)
 	}
 }
