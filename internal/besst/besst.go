@@ -102,7 +102,7 @@ type cinstr struct {
 	kind      ckind
 	op        string
 	params    perfmodel.Params
-	model     perfmodel.Model // ckComp/ckCkpt: resolved binding (Compile)
+	draw      perfmodel.Sampler // ckComp/ckCkpt: model bound at params (Compile)
 	pattern   beo.CommPattern
 	bytes     int64
 	neighbors int
@@ -113,8 +113,8 @@ type cinstr struct {
 	// per CompiledRun: Predict(params) for ckComp/ckCkpt, the network
 	// collective cost for ckComm. Both are pure functions of compiled
 	// state, so hoisting them out of the per-rank per-trial hot loops
-	// changes no output bytes. Monte Carlo Sample draws still happen
-	// per trial; ckComm costs are deterministic in every mode.
+	// changes no output bytes. Monte Carlo draws still happen per trial,
+	// through draw; ckComm costs are deterministic in every mode.
 	detCost float64
 }
 
@@ -189,7 +189,8 @@ func commCost(net *network.Model, c cinstr, ranks int) float64 {
 
 // CompiledRun caches everything that is invariant across replications
 // of one (app, arch) pair: validation, the flattened instruction list
-// with its model bindings resolved, the shared network cost model
+// with each model bound to its instruction's parameters (so a Monte
+// Carlo draw is only the draw itself), the shared network cost model
 // (whose topology-diameter cache is expensive to warm), and the exact
 // result-series lengths so per-trial slices are allocated once at full
 // capacity instead of growing step by step.
@@ -209,14 +210,12 @@ type CompiledRun struct {
 	ckpts int // number of ckCkpt instances per run
 
 	// syncIdx is the dense syncID -> prog index table for the DES
-	// coordinator (syncIDs are assigned contiguously by compile), and
-	// ports the matching precomputed coordinator->rank release port
-	// names — both replace per-trial map builds and string formatting.
-	// Indices rather than instruction copies: cinstr is large and half a
-	// program can be sync points, so duplicating them would roughly
-	// double the compile footprint that DSE sweeps pay per cell.
+	// coordinator (syncIDs are assigned contiguously by compile), which
+	// replaces a per-trial map build. Indices rather than instruction
+	// copies: cinstr is large and half a program can be sync points, so
+	// duplicating them would roughly double the compile footprint that
+	// DSE sweeps pay per cell.
 	syncIdx []int32
-	ports   []string
 
 	// desPool recycles fully wired DES simulations across trials: a
 	// desSim is reset (engine rewound, RNGs reseeded, program counters
@@ -249,29 +248,31 @@ func newCompiledRun(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 	}
 	// Loop expansion repeats the same (op, params) pair once per
 	// iteration — often hundreds of copies sharing one params map — and
-	// table-model Predict allocates interpolation scratch per call, so
-	// memoize the deterministic cost per op. Entries are only reused when
-	// the params compare exactly equal, which keeps the memo a pure
-	// shortcut: every path still yields Predict(params) bit for bit.
-	type costMemo struct {
+	// table-model Predict and Bind allocate interpolation scratch per
+	// call, so memoize the deterministic cost and the bound sampler per
+	// op. Entries are only reused when the params compare exactly equal,
+	// which keeps the memo a pure shortcut: every path still yields
+	// Predict(params) and Bind(params) bit for bit.
+	type bindMemo struct {
 		params perfmodel.Params
 		cost   float64
+		draw   perfmodel.Sampler
 	}
-	memo := make(map[string]costMemo)
+	memo := make(map[string]bindMemo)
 	for i := range cr.prog {
 		c := &cr.prog[i]
 		switch c.kind {
 		case ckComp, ckCkpt:
-			c.model = arch.ModelFor(c.op)
-			// Precompute the deterministic cost. The first Predict per
-			// model also triggers its lazy state (table rebuilds) while
-			// still single-threaded; Predict and Sample are read-only
-			// afterwards.
+			// The first Predict per model also triggers its lazy state
+			// (table rebuilds) while still single-threaded; the model and
+			// its bound samplers are read-only afterwards.
 			if m, ok := memo[c.op]; ok && sameParams(m.params, c.params) {
-				c.detCost = m.cost
+				c.detCost, c.draw = m.cost, m.draw
 			} else {
-				c.detCost = c.model.Predict(c.params)
-				memo[c.op] = costMemo{params: c.params, cost: c.detCost}
+				model := arch.ModelFor(c.op)
+				c.detCost = model.Predict(c.params)
+				c.draw = model.Bind(c.params)
+				memo[c.op] = bindMemo{params: c.params, cost: c.detCost, draw: c.draw}
 			}
 			if c.kind == ckCkpt {
 				cr.ckpts++
@@ -287,10 +288,6 @@ func newCompiledRun(app *beo.AppBEO, arch *beo.ArchBEO) *CompiledRun {
 			}
 			cr.syncIdx = append(cr.syncIdx, int32(i))
 		}
-	}
-	cr.ports = make([]string, app.Ranks)
-	for r := range cr.ports {
-		cr.ports[r] = rankPort(r)
 	}
 	// Warm the diameter cache backing every collective cost.
 	cr.net.Barrier(2)
@@ -347,10 +344,10 @@ func simulateDirect(cr *CompiledRun, cfg RunConfig) *Result {
 					// helper for identical semantics with the
 					// ground-truth emulator.
 					mean := c.detCost
-					sigma := modelSigma(c.model, c.params, mean, rng)
+					sigma := modelSigma(c.draw, mean, rng)
 					now += groundtruth.StepMax(mean, sigma, ranks, rng)
 				} else {
-					now += c.model.Sample(c.params, rng)
+					now += c.draw.Sample(rng)
 				}
 			} else {
 				now += c.detCost
@@ -363,7 +360,7 @@ func simulateDirect(cr *CompiledRun, cfg RunConfig) *Result {
 		case ckCkpt:
 			var dt float64
 			if cfg.MonteCarlo {
-				dt = c.model.Sample(c.params, rng) // one coordinated draw
+				dt = c.draw.Sample(rng) // one coordinated draw
 			} else {
 				dt = c.detCost
 			}
@@ -378,18 +375,19 @@ func simulateDirect(cr *CompiledRun, cfg RunConfig) *Result {
 	return res
 }
 
-// modelSigma estimates a model's relative spread at params by drawing a
+// modelSigma estimates a bound model's relative spread by drawing a
 // handful of samples. For symreg.Fitted this recovers ResidualSigma; for
 // tables it reflects the stored sample spread. mean must be the model's
-// Predict(p) value (callers pass the precomputed per-instruction cost).
-func modelSigma(m perfmodel.Model, p perfmodel.Params, mean float64, rng *stats.RNG) float64 {
+// Predict value at the bound parameters (callers pass the precomputed
+// per-instruction cost).
+func modelSigma(s perfmodel.Sampler, mean float64, rng *stats.RNG) float64 {
 	if mean <= 0 {
 		return 0
 	}
 	const probes = 8
 	var ss float64
 	for i := 0; i < probes; i++ {
-		r := m.Sample(p, rng) / mean
+		r := s.Sample(rng) / mean
 		if r <= 0 {
 			continue
 		}

@@ -232,12 +232,12 @@ func TestCommCostPatterns(t *testing.T) {
 func TestModelSigmaRecoversNoise(t *testing.T) {
 	m := perfmodel.Func{Label: "f", F: func(perfmodel.Params) float64 { return 1 }, NoiseSigma: 0.2}
 	rng := stats.NewRNG(4)
-	got := modelSigma(m, perfmodel.Params{}, m.Predict(perfmodel.Params{}), rng)
+	got := modelSigma(m.Bind(perfmodel.Params{}), m.Predict(perfmodel.Params{}), rng)
 	if got < 0.05 || got > 0.5 {
 		t.Fatalf("sigma estimate %v far from 0.2", got)
 	}
 	c := perfmodel.Constant{Seconds: 1}
-	if s := modelSigma(c, perfmodel.Params{}, c.Predict(perfmodel.Params{}), rng); s != 0 {
+	if s := modelSigma(c.Bind(perfmodel.Params{}), c.Predict(perfmodel.Params{}), rng); s != 0 {
 		t.Fatalf("constant model sigma = %v", s)
 	}
 }

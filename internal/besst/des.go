@@ -23,10 +23,6 @@ const (
 	pkRelease                  // coordinator -> rank: A = syncID
 )
 
-const (
-	portCoord = "coord" // rank -> coordinator
-)
-
 // rankComp executes the compiled program for one rank.
 type rankComp struct {
 	sim  *desSim
@@ -57,26 +53,30 @@ type coordComp struct {
 // components, links, and RNG allocations are built once and recycled
 // through CompiledRun.desPool; reset rewinds everything per trial.
 type desSim struct {
-	cr     *CompiledRun
-	cfg    RunConfig
-	eng    *des.Engine
-	res    *Result
-	ranks  []des.ComponentID
-	coord  des.ComponentID
-	coordC *coordComp
-	rankC  []*rankComp
-	ends   []des.Time // per-rank completion time
+	cr      *CompiledRun
+	cfg     RunConfig
+	eng     *des.Engine
+	res     *Result
+	ranks   []des.ComponentID
+	coord   des.ComponentID
+	coordC  *coordComp
+	rankC   []*rankComp
+	arrive  []des.LinkID // per-rank rank -> coordinator link
+	release []des.LinkID // per-rank coordinator -> rank link
+	ends    []des.Time   // per-rank completion time
 }
 
 // newDesSim builds and wires a simulation for cr. All per-trial state
 // is set by reset.
 func newDesSim(cr *CompiledRun) *desSim {
 	s := &desSim{
-		cr:    cr,
-		eng:   des.NewEngine(),
-		ranks: make([]des.ComponentID, 0, cr.app.Ranks),
-		rankC: make([]*rankComp, 0, cr.app.Ranks),
-		ends:  make([]des.Time, cr.app.Ranks),
+		cr:      cr,
+		eng:     des.NewEngine(),
+		ranks:   make([]des.ComponentID, 0, cr.app.Ranks),
+		rankC:   make([]*rankComp, 0, cr.app.Ranks),
+		arrive:  make([]des.LinkID, 0, cr.app.Ranks),
+		release: make([]des.LinkID, 0, cr.app.Ranks),
+		ends:    make([]des.Time, cr.app.Ranks),
 	}
 	s.coordC = &coordComp{
 		sim:     s,
@@ -89,8 +89,8 @@ func newDesSim(cr *CompiledRun) *desSim {
 		id := s.eng.Register(rc)
 		s.ranks = append(s.ranks, id)
 		s.rankC = append(s.rankC, rc)
-		s.eng.Connect(id, portCoord, s.coord, "in", 0)
-		s.eng.Connect(s.coord, cr.ports[r], id, "release", 0)
+		s.arrive = append(s.arrive, s.eng.Connect(id, s.coord, 0))
+		s.release = append(s.release, s.eng.Connect(s.coord, id, 0))
 	}
 	return s
 }
@@ -123,17 +123,26 @@ func (s *desSim) reset(cfg RunConfig, stream int) {
 	s.eng.SetTracer(cfg.Tracer, stream)
 }
 
-// simulateDES runs one DES-mode replication. stream tags tracer hooks
-// so trials sharing one tracer stay distinguishable (Replicate passes
-// the trial index).
+// simulateDES runs one DES-mode replication on a pooled simulation.
+// stream tags tracer hooks so trials sharing one tracer stay
+// distinguishable (Replicate passes the trial index).
 func simulateDES(cr *CompiledRun, cfg RunConfig, stream int) *Result {
 	s, _ := cr.desPool.Get().(*desSim)
 	if s == nil {
 		s = newDesSim(cr)
 	}
+	res := s.run(cfg, stream)
+	// Only a run that completed normally goes back to the pool: a panic
+	// mid-run would leave dirty coordinator slots and queued events.
+	cr.desPool.Put(s)
+	return res
+}
+
+// run resets the simulation and executes one replication.
+func (s *desSim) run(cfg RunConfig, stream int) *Result {
 	s.reset(cfg, stream)
-	for r := 0; r < cr.app.Ranks; r++ {
-		s.eng.ScheduleAt(0, s.ranks[r], des.Payload{Kind: pkAdvance})
+	for _, id := range s.ranks {
+		s.eng.ScheduleAt(0, id, des.Payload{Kind: pkAdvance})
 	}
 	s.eng.Run(0)
 	if cfg.Collector != nil {
@@ -149,37 +158,8 @@ func simulateDES(cr *CompiledRun, cfg RunConfig, stream int) *Result {
 	res := s.res
 	res.Makespan = max.Seconds()
 	res.Events = s.eng.Processed()
-	// Only a run that completed normally goes back to the pool: a panic
-	// mid-run would leave dirty coordinator slots and queued events.
 	s.res = nil
-	cr.desPool.Put(s)
 	return res
-}
-
-func rankPort(rank int) string {
-	// Port names are wired once per CompiledRun (see CompiledRun.ports),
-	// never on the event path.
-	return "r" + itoa(rank)
-}
-
-func itoa(n int) string {
-	if n < 0 {
-		// A negative rank index can only come from corrupted wiring
-		// logic; an empty or garbled port name would surface much later
-		// as a baffling missing-link panic, so fail at the source.
-		panic(fmt.Sprintf("besst: itoa on negative value %d", n))
-	}
-	if n == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }
 
 // HandleEvent advances the rank's program until it blocks on a
@@ -206,7 +186,7 @@ func (rc *rankComp) HandleEvent(ctx *des.Context, ev des.Event) {
 			rc.pc++
 			var dt float64
 			if s.cfg.MonteCarlo {
-				dt = c.model.Sample(c.params, rc.rng)
+				dt = c.draw.Sample(rc.rng)
 			} else {
 				dt = c.detCost
 			}
@@ -222,7 +202,7 @@ func (rc *rankComp) HandleEvent(ctx *des.Context, ev des.Event) {
 				rc.waitKind = c.kind
 				rc.waitSince = ctx.Now()
 			}
-			ctx.Send(portCoord, 0, des.Payload{
+			ctx.Send(s.arrive[rc.rank], 0, des.Payload{
 				Kind: pkArrive, A: int64(c.syncID), B: int64(rc.rank),
 			})
 			return // resume on release
@@ -244,8 +224,8 @@ func (cc *coordComp) HandleEvent(ctx *des.Context, ev des.Event) {
 		// wiring or protocol is broken; match the engine's policy that
 		// wiring errors are construction bugs, not runtime conditions.
 		panic(fmt.Sprintf(
-			"besst: coordinator received payload kind %d (data %v) on port %q at %v; only arrivals are wired here",
-			p.Kind, p.Data, ev.SrcPort, ctx.Now()))
+			"besst: coordinator received payload kind %d on link %d at %v; only arrivals are wired here",
+			p.Kind, ev.Link, ctx.Now()))
 	}
 	s := cc.sim
 	syncID := int(p.A)
@@ -264,7 +244,7 @@ func (cc *coordComp) HandleEvent(ctx *des.Context, ev des.Event) {
 		cost = c.detCost
 	case ckCkpt:
 		if s.cfg.MonteCarlo {
-			cost = c.model.Sample(c.params, cc.rng) // one coordinated draw
+			cost = c.draw.Sample(cc.rng) // one coordinated draw
 		} else {
 			cost = c.detCost
 		}
@@ -273,6 +253,6 @@ func (cc *coordComp) HandleEvent(ctx *des.Context, ev des.Event) {
 	extra := des.FromSeconds(cost)
 	release := des.Payload{Kind: pkRelease, A: p.A}
 	for r := 0; r < s.cr.app.Ranks; r++ {
-		ctx.Send(s.cr.ports[r], extra, release)
+		ctx.Send(s.release[r], extra, release)
 	}
 }

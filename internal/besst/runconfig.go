@@ -29,10 +29,10 @@ type RunConfig struct {
 	// Results are byte-identical for every worker count.
 	Workers int
 	// Tracer, when non-nil, receives DES lifecycle hooks (dispatch,
-	// send, barrier wait). Replicate tags each trial's hooks with the
-	// trial index as the stream. Tracing is a DES-engine feature:
-	// Direct mode has no events and emits nothing. The tracer must be
-	// safe for concurrent use when Workers != 1.
+	// return, queue). Replicate tags each trial's hooks with the trial
+	// index as the stream. Tracing is a DES-engine feature: Direct mode
+	// has no events and emits nothing. The tracer must be safe for
+	// concurrent use when Workers != 1.
 	Tracer Tracer
 	// Collector, when non-nil, receives run-level metrics callbacks
 	// (per-trial timings, engine totals). It must be safe for

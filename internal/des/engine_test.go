@@ -9,18 +9,19 @@ import (
 type recorder struct {
 	times    []Time
 	payloads []Payload
-	ports    []string
+	links    []LinkID
 }
 
 func (r *recorder) HandleEvent(ctx *Context, ev Event) {
 	r.times = append(r.times, ctx.Now())
 	r.payloads = append(r.payloads, ev.Payload)
-	r.ports = append(r.ports, ev.SrcPort)
+	r.links = append(r.links, ev.Link)
 }
 
-// pinger sends count messages over its "out" link, one per received event.
+// pinger sends count messages over its out link, one per received event.
 type pinger struct {
 	remaining int
+	out       LinkID
 }
 
 func (p *pinger) HandleEvent(ctx *Context, ev Event) {
@@ -28,7 +29,7 @@ func (p *pinger) HandleEvent(ctx *Context, ev Event) {
 		return
 	}
 	p.remaining--
-	ctx.Send("out", 0, Payload{A: int64(p.remaining)})
+	ctx.Send(p.out, 0, Payload{A: int64(p.remaining)})
 	if p.remaining > 0 {
 		ctx.ScheduleSelf(Microsecond, Payload{})
 	}
@@ -60,15 +61,15 @@ func TestSequentialOrdering(t *testing.T) {
 	e := NewEngine()
 	r := &recorder{}
 	id := e.Register(r)
-	e.ScheduleAt(30, id, Payload{Data: "c"})
-	e.ScheduleAt(10, id, Payload{Data: "a"})
-	e.ScheduleAt(20, id, Payload{Data: "b"})
+	e.ScheduleAt(30, id, Payload{Kind: 3})
+	e.ScheduleAt(10, id, Payload{Kind: 1})
+	e.ScheduleAt(20, id, Payload{Kind: 2})
 	e.Run(0)
 	if len(r.payloads) != 3 {
 		t.Fatalf("got %d events", len(r.payloads))
 	}
-	for i, want := range []string{"a", "b", "c"} {
-		if r.payloads[i].Data != want {
+	for i, want := range []int32{1, 2, 3} {
+		if r.payloads[i].Kind != want {
 			t.Fatalf("event %d = %v, want %v", i, r.payloads[i], want)
 		}
 	}
@@ -98,14 +99,14 @@ func TestLinkLatencyDelivery(t *testing.T) {
 	r := &recorder{}
 	pid := e.Register(p)
 	rid := e.Register(r)
-	e.Connect(pid, "out", rid, "in", 50)
+	p.out = e.Connect(pid, rid, 50)
 	e.ScheduleAt(100, pid, Payload{})
 	e.Run(0)
 	if len(r.times) != 1 || r.times[0] != 150 {
 		t.Fatalf("delivery times %v, want [150]", r.times)
 	}
-	if r.ports[0] != "in" {
-		t.Fatalf("arrival port %q, want in", r.ports[0])
+	if r.links[0] != p.out {
+		t.Fatalf("arrival link %d, want %d", r.links[0], p.out)
 	}
 }
 
@@ -133,7 +134,7 @@ func TestSelfScheduleChain(t *testing.T) {
 	r := &recorder{}
 	pid := e.Register(p)
 	rid := e.Register(r)
-	e.Connect(pid, "out", rid, "in", 1)
+	p.out = e.Connect(pid, rid, 1)
 	e.ScheduleAt(0, pid, Payload{})
 	e.Run(0)
 	if len(r.times) != 5 {
@@ -144,23 +145,55 @@ func TestSelfScheduleChain(t *testing.T) {
 	}
 }
 
-func TestConnectDuplicatePanics(t *testing.T) {
+// selfTicker records the link of every event it receives and
+// reschedules itself while ticks remain.
+type selfTicker struct {
+	left  int
+	links []LinkID
+}
+
+func (s *selfTicker) HandleEvent(ctx *Context, ev Event) {
+	s.links = append(s.links, ev.Link)
+	if s.left > 0 {
+		s.left--
+		ctx.ScheduleSelf(1, Payload{})
+	}
+}
+
+func TestSelfAndInitialEventsCarryNoLink(t *testing.T) {
+	e := NewEngine()
+	s := &selfTicker{left: 2}
+	e.ScheduleAt(0, e.Register(s), Payload{})
+	e.Run(0)
+	if len(s.links) != 3 {
+		t.Fatalf("got %d events, want 3", len(s.links))
+	}
+	for i, l := range s.links {
+		if l != NoLink {
+			t.Fatalf("event %d arrived on link %d, want NoLink", i, l)
+		}
+	}
+}
+
+func TestConnectMintsDenseLinkIDs(t *testing.T) {
 	e := NewEngine()
 	a := e.Register(&recorder{})
 	b := e.Register(&recorder{})
-	e.Connect(a, "out", b, "in", 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on duplicate link")
+	for want := LinkID(0); want < 4; want++ {
+		if got := e.Connect(a, b, 1); got != want {
+			t.Fatalf("link %d, want %d", got, want)
 		}
-	}()
-	e.Connect(a, "out", b, "in", 2)
+	}
 }
 
+// TestSendOnMissingPortPanics covers a send on a link the handling
+// component does not own: here the link runs from its peer to it.
 func TestSendOnMissingPortPanics(t *testing.T) {
 	e := NewEngine()
 	p := &pinger{remaining: 1}
 	pid := e.Register(p)
+	rid := e.Register(&recorder{})
+	p.out = e.Connect(rid, pid, 1)
 	e.ScheduleAt(0, pid, Payload{})
 	defer func() {
 		if recover() == nil {
@@ -189,11 +222,15 @@ func TestBidirectionalLink(t *testing.T) {
 	b := &pinger{remaining: 1}
 	aid := e.Register(a)
 	bid := e.Register(b)
-	e.ConnectBidirectional(aid, "out", bid, "out", 7)
+	ab, ba := e.ConnectBidirectional(aid, bid, 7)
+	b.out = ba
 	e.ScheduleAt(0, bid, Payload{})
 	e.Run(0)
-	if len(a.times) != 1 || a.times[0] != 7 {
-		t.Fatalf("bidirectional delivery failed: %v", a.times)
+	if len(a.times) != 1 || a.times[0] != 7 || a.links[0] != ba {
+		t.Fatalf("bidirectional delivery failed: %v on %v", a.times, a.links)
+	}
+	if ab == ba {
+		t.Fatalf("both directions share link %d", ab)
 	}
 }
 
@@ -228,7 +265,7 @@ func TestLinkLatencyAccessor(t *testing.T) {
 	probe := &latencyProbe{}
 	a := e.Register(probe)
 	b := e.Register(&recorder{})
-	e.Connect(a, "out", b, "in", 42)
+	probe.out = e.Connect(a, b, 42)
 	e.ScheduleAt(0, a, Payload{})
 	e.Run(0)
 	if probe.seen != 42 {
@@ -236,10 +273,13 @@ func TestLinkLatencyAccessor(t *testing.T) {
 	}
 }
 
-type latencyProbe struct{ seen Time }
+type latencyProbe struct {
+	out  LinkID
+	seen Time
+}
 
 func (p *latencyProbe) HandleEvent(ctx *Context, ev Event) {
-	p.seen = ctx.LinkLatency("out")
+	p.seen = ctx.LinkLatency(p.out)
 }
 
 func TestNegativeLinkLatencyPanics(t *testing.T) {
@@ -251,7 +291,7 @@ func TestNegativeLinkLatencyPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	e.Connect(a, "out", b, "in", -1)
+	e.Connect(a, b, -1)
 }
 
 func TestRegisterDuringRunPanics(t *testing.T) {

@@ -191,12 +191,9 @@ func parseDirectives(pkg *Package) []*directive {
 }
 
 // hotpathIssues polices //lint:hotpath directives: they take no
-// arguments, must sit in a function declaration's doc comment, and are
-// redundant on functions the built-in internal/des hot table already
-// covers.
+// arguments and must sit in a function declaration's doc comment.
 func hotpathIssues(pkg *Package) []Diagnostic {
 	var out []Diagnostic
-	inDes := pathScopedTo(pkg, desHotScope)
 	for _, f := range pkg.Files {
 		docOf := map[*ast.CommentGroup]*ast.FuncDecl{}
 		for _, decl := range f.Decls {
@@ -221,13 +218,8 @@ func hotpathIssues(pkg *Package) []Diagnostic {
 					mk("//lint:hotpath takes no arguments")
 					continue
 				}
-				fd, ok := docOf[cg]
-				if !ok {
+				if _, ok := docOf[cg]; !ok {
 					mk("//lint:hotpath must sit in a function declaration's doc comment")
-					continue
-				}
-				if inDes && desHotFuncs[funcKey(fd)] {
-					mk("//lint:hotpath on %s is redundant: the built-in hot-path table already covers it", funcKey(fd))
 				}
 			}
 		}

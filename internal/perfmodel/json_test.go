@@ -35,8 +35,8 @@ func TestTableJSONRoundTrip(t *testing.T) {
 	// Raw samples survive, so Monte Carlo draws match too.
 	r1, r2 := stats.NewRNG(3), stats.NewRNG(3)
 	for i := 0; i < 20; i++ {
-		a := tab.Sample(Params{"x": 1, "y": 2}, r1)
-		b := back.Sample(Params{"x": 1, "y": 2}, r2)
+		a := tab.Bind(Params{"x": 1, "y": 2}).Sample(r1)
+		b := back.Bind(Params{"x": 1, "y": 2}).Sample(r2)
 		if a != b {
 			t.Fatalf("sample %d differs: %v vs %v", i, a, b)
 		}

@@ -65,11 +65,37 @@ type Model interface {
 	// Predict returns the expected runtime in seconds for the given
 	// parameters.
 	Predict(p Params) float64
-	// Sample returns one draw from the model's runtime distribution,
-	// for Monte Carlo simulation of machine variance.
-	Sample(p Params, rng *stats.RNG) float64
+	// Bind resolves the model at p once and returns the sampler Monte
+	// Carlo simulation draws from, so per-draw work is only the draw
+	// itself. The model must not change while the sampler is in use.
+	Bind(p Params) Sampler
 	// Name identifies the model in diagnostics.
 	Name() string
+}
+
+// Sampler draws from one bound model's runtime distribution, for Monte
+// Carlo simulation of machine variance.
+type Sampler interface {
+	// Sample returns one runtime draw in seconds.
+	Sample(rng *stats.RNG) float64
+}
+
+// Noisy is the sampler of models with multiplicative log-normal noise
+// around a point prediction: Value, scaled by exp(N(0, Sigma)) when
+// Sigma is positive.
+type Noisy struct {
+	Value, Sigma float64
+}
+
+// Sample implements Sampler.
+//
+//lint:hotpath
+func (n Noisy) Sample(rng *stats.RNG) float64 {
+	v := n.Value
+	if n.Sigma > 0 {
+		v *= rng.LogNormal(0, n.Sigma)
+	}
+	return v
 }
 
 // Constant is a trivial model returning a fixed duration; useful for
@@ -82,34 +108,28 @@ type Constant struct {
 // Predict implements Model.
 func (c Constant) Predict(Params) float64 { return c.Seconds }
 
-// Sample implements Model.
-func (c Constant) Sample(Params, *stats.RNG) float64 { return c.Seconds }
+// Bind implements Model.
+func (c Constant) Bind(Params) Sampler { return Noisy{Value: c.Seconds} }
 
 // Name implements Model.
 func (c Constant) Name() string { return c.Label }
 
 // Func adapts a plain function into a deterministic Model. The paper's
 // ground-truth cost functions are exposed to the simulator this way in
-// oracle-model ablations.
+// oracle-model ablations. F must be a pure function of its parameters.
 type Func struct {
 	Label string
 	F     func(Params) float64
 	// NoiseSigma, when positive, adds multiplicative log-normal noise
-	// with the given sigma to Sample draws.
+	// with the given sigma to sampled draws.
 	NoiseSigma float64
 }
 
 // Predict implements Model.
 func (f Func) Predict(p Params) float64 { return f.F(p) }
 
-// Sample implements Model.
-func (f Func) Sample(p Params, rng *stats.RNG) float64 {
-	v := f.F(p)
-	if f.NoiseSigma > 0 {
-		v *= rng.LogNormal(0, f.NoiseSigma)
-	}
-	return v
-}
+// Bind implements Model.
+func (f Func) Bind(p Params) Sampler { return Noisy{Value: f.F(p), Sigma: f.NoiseSigma} }
 
 // Name implements Model.
 func (f Func) Name() string { return f.Label }

@@ -202,26 +202,48 @@ func (t *Table) Predict(p Params) float64 {
 	return v
 }
 
-// Sample implements Model. At a benchmarked combination it draws
+// Bind implements Model. At a benchmarked combination the sampler draws
 // uniformly from the stored samples (the paper: "one of many samples is
 // selected"); elsewhere it draws from the nearest benchmarked point and
 // rescales to the interpolated mean, preserving relative variance.
-func (t *Table) Sample(p Params, rng *stats.RNG) float64 {
+func (t *Table) Bind(p Params) Sampler {
 	if len(t.points) == 0 {
 		panic(fmt.Sprintf("perfmodel: table %q is empty", t.Label))
 	}
 	t.rebuild()
 	coord := t.coordOf(p)
 	if pt, ok := t.points[coordKey(coord)]; ok {
-		return pt.samples[rng.Intn(len(pt.samples))]
+		return storedDraw(pt.samples)
 	}
-	mean := t.Predict(p)
 	near := t.nearest(coord)
-	draw := near.samples[rng.Intn(len(near.samples))]
-	if near.mean <= 0 {
-		return mean
+	return scaledDraw{mean: t.Predict(p), near: near.samples, nearMean: near.mean}
+}
+
+// storedDraw samples a benchmarked point's stored measurements.
+type storedDraw []float64
+
+// Sample implements Sampler.
+//
+//lint:hotpath
+func (s storedDraw) Sample(rng *stats.RNG) float64 { return s[rng.Intn(len(s))] }
+
+// scaledDraw samples an off-grid point: a draw from the nearest stored
+// point, rescaled from that point's mean to the interpolated one.
+type scaledDraw struct {
+	mean     float64
+	near     []float64
+	nearMean float64
+}
+
+// Sample implements Sampler.
+//
+//lint:hotpath
+func (s scaledDraw) Sample(rng *stats.RNG) float64 {
+	draw := s.near[rng.Intn(len(s.near))]
+	if s.nearMean <= 0 {
+		return s.mean
 	}
-	return mean * draw / near.mean
+	return s.mean * draw / s.nearMean
 }
 
 // Name implements Model.

@@ -33,7 +33,7 @@ func TestParamsGetMissingPanics(t *testing.T) {
 
 func TestConstantModel(t *testing.T) {
 	m := Constant{Label: "fixed", Seconds: 2.5}
-	if m.Predict(nil) != 2.5 || m.Sample(nil, stats.NewRNG(1)) != 2.5 {
+	if m.Predict(nil) != 2.5 || m.Bind(nil).Sample(stats.NewRNG(1)) != 2.5 {
 		t.Fatal("constant model wrong")
 	}
 	if m.Name() != "fixed" {
@@ -49,8 +49,9 @@ func TestFuncModelNoise(t *testing.T) {
 	rng := stats.NewRNG(2)
 	var sum float64
 	const n = 20000
+	s := m.Bind(Params{"x": 3})
 	for i := 0; i < n; i++ {
-		sum += m.Sample(Params{"x": 3}, rng)
+		sum += s.Sample(rng)
 	}
 	// LogNormal(0, 0.1) has mean exp(0.005) ~ 1.005.
 	if math.Abs(sum/n-6*math.Exp(0.005)) > 0.05 {
@@ -138,8 +139,9 @@ func TestTableSampleDrawsStored(t *testing.T) {
 	tab.Add(Params{"x": 1}, 20)
 	rng := stats.NewRNG(3)
 	seen := map[float64]bool{}
+	s := tab.Bind(Params{"x": 1})
 	for i := 0; i < 100; i++ {
-		v := tab.Sample(Params{"x": 1}, rng)
+		v := s.Sample(rng)
 		if v != 10 && v != 20 {
 			t.Fatalf("sample %v not from stored set", v)
 		}
@@ -161,8 +163,9 @@ func TestTableSampleInterpolatedPreservesSpread(t *testing.T) {
 	rng := stats.NewRNG(4)
 	var lo, hi int
 	mean := tab.Predict(Params{"x": 5})
+	s := tab.Bind(Params{"x": 5})
 	for i := 0; i < 200; i++ {
-		v := tab.Sample(Params{"x": 5}, rng)
+		v := s.Sample(rng)
 		if v < mean {
 			lo++
 		} else {

@@ -170,10 +170,17 @@ func (c Config) withDefaults() Config {
 // fields (id, plan, tenant, collector, done) are immutable after
 // admission; everything else is guarded by the server mutex.
 type campaign struct {
-	id        string
+	id     string
+	kind   string
+	seed   uint64
+	tenant string
+	// plan and collector are needed only while the campaign is queued or
+	// running; settle releases them, keeping progress as the final
+	// snapshot status reports, so a daemon retaining many settled
+	// campaigns holds just their status and result.
 	plan      *plan
-	tenant    string
 	collector *obs.Collector
+	progress  obs.Progress
 	done      chan struct{} // closed when the campaign leaves queued/running
 
 	state    string
@@ -187,6 +194,16 @@ type campaign struct {
 	// settledAt timestamps the transition out of queued/running; the
 	// TTL janitor evicts settled campaigns past Config.CampaignTTL.
 	settledAt time.Time
+}
+
+// settleLocked marks the campaign's transition out of queued/running:
+// it stamps settledAt, freezes the progress snapshot and releases the
+// plan and collector. Callers hold the server's mu.
+func (c *campaign) settleLocked() {
+	c.settledAt = time.Now()
+	c.progress = c.collector.Progress()
+	c.plan = nil
+	c.collector = nil
 }
 
 // Server is the simulation service.
@@ -320,7 +337,7 @@ func (s *Server) runCampaign(c *campaign) {
 		c.result = body
 		s.completed++
 	}
-	c.settledAt = time.Now()
+	c.settleLocked()
 	s.active--
 	s.tenantActive[c.tenant]--
 	if s.tenantActive[c.tenant] <= 0 {
@@ -361,7 +378,7 @@ func (s *Server) Drain() {
 	for _, c := range s.queue {
 		c.state = stateInterrupted
 		c.errMsg = "server drained before the campaign started; re-POST after restart"
-		c.settledAt = time.Now()
+		c.settleLocked()
 		close(c.done)
 	}
 	s.queue = nil
@@ -484,6 +501,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	c := &campaign{
 		id:        id,
+		kind:      pl.req.Kind,
+		seed:      pl.seed,
 		plan:      pl,
 		tenant:    pl.req.Tenant,
 		collector: obs.NewCollector(),
@@ -638,13 +657,16 @@ func (s *Server) statusLocked(c *campaign) CampaignStatus {
 	st := CampaignStatus{
 		SchemaVersion: RequestSchemaVersion,
 		ID:            c.id,
-		Kind:          c.plan.req.Kind,
+		Kind:          c.kind,
 		Tenant:        c.tenant,
 		State:         c.state,
-		Seed:          c.plan.seed,
+		Seed:          c.seed,
 		Error:         c.errMsg,
 		Divergences:   c.divergences,
-		Progress:      c.collector.Progress(),
+		Progress:      c.progress,
+	}
+	if c.collector != nil {
+		st.Progress = c.collector.Progress()
 	}
 	if c.state == stateDone {
 		st.ResultURL = "/v1/campaigns/" + c.id + "/result"

@@ -98,8 +98,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Fitted is a symbolic-regression performance model. It implements
-// perfmodel.Model: Predict evaluates the fitted expression and Sample
-// adds multiplicative log-normal residual noise estimated from the
+// perfmodel.Model: Predict evaluates the fitted expression and its bound
+// sampler adds multiplicative log-normal residual noise estimated from the
 // training residuals, so Monte Carlo simulation reproduces the
 // calibration variance. Build one with Fit, Refit or JSON decoding,
 // which compile Expr for evaluation; Expr must not change afterwards.
@@ -128,9 +128,9 @@ type Fitted struct {
 // slice.
 const rowBuf = 16
 
-// Predict implements perfmodel.Model. It is on the Monte Carlo hot path
-// (every Sample starts with a Predict), so the row is evaluated in a
-// stack buffer.
+// Predict implements perfmodel.Model. Every compiled instruction and
+// every validation point calls it, so the row is evaluated in a stack
+// buffer.
 //
 //lint:hotpath
 func (f *Fitted) Predict(p perfmodel.Params) float64 {
@@ -172,13 +172,10 @@ func (f *Fitted) predictRow(row []float64) float64 {
 	return v
 }
 
-// Sample implements perfmodel.Model.
-func (f *Fitted) Sample(p perfmodel.Params, rng *stats.RNG) float64 {
-	v := f.Predict(p)
-	if f.ResidualSigma > 0 {
-		v *= rng.LogNormal(0, f.ResidualSigma)
-	}
-	return v
+// Bind implements perfmodel.Model: draws are the prediction at p with
+// multiplicative log-normal residual noise.
+func (f *Fitted) Bind(p perfmodel.Params) perfmodel.Sampler {
+	return perfmodel.Noisy{Value: f.Predict(p), Sigma: f.ResidualSigma}
 }
 
 // Name implements perfmodel.Model.

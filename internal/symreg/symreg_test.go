@@ -237,8 +237,9 @@ func TestFittedSampleVariance(t *testing.T) {
 	})
 	rng := stats.NewRNG(13)
 	var lo, hi int
+	s := f.Bind(perfmodel.Params{"x": 1})
 	for i := 0; i < 500; i++ {
-		v := f.Sample(perfmodel.Params{"x": 1}, rng)
+		v := s.Sample(rng)
 		if v < 10 {
 			lo++
 		} else {

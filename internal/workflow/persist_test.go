@@ -38,8 +38,8 @@ func TestSaveLoadSymregRoundTrip(t *testing.T) {
 	// Sampling variance survives (residual sigma restored).
 	rng1, rng2 := stats.NewRNG(1), stats.NewRNG(1)
 	p := perfmodel.Params{"epr": 15, "ranks": 64}
-	a := sr.ByOp[lulesh.OpCkptL1].Sample(p, rng1)
-	b := back.ByOp[lulesh.OpCkptL1].Sample(p, rng2)
+	a := sr.ByOp[lulesh.OpCkptL1].Bind(p).Sample(rng1)
+	b := back.ByOp[lulesh.OpCkptL1].Bind(p).Sample(rng2)
 	if a != b {
 		t.Fatalf("sample streams diverge after round trip: %v vs %v", a, b)
 	}

@@ -223,8 +223,9 @@ func DistributionCheck(m perfmodel.Model, c *benchdata.Campaign, op string, draw
 	worst := 0.0
 	for _, k := range keys {
 		sim := make([]float64, draws)
+		s := m.Bind(params[k])
 		for i := range sim {
-			sim[i] = m.Sample(params[k], rng)
+			sim[i] = s.Sample(rng)
 		}
 		if d := stats.KSDistance(byCombo[k], sim); d > worst {
 			worst = d
